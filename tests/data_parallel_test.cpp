@@ -13,6 +13,7 @@
 #include "core/trainer.hpp"
 #include "data/chunk_stream.hpp"
 #include "data/patches.hpp"
+#include "data/sharded_dataset.hpp"
 
 namespace deepphi::core {
 namespace {
@@ -131,6 +132,26 @@ std::vector<float> train_rbm_dp(const TrainerConfig& cfg,
   return rbm_params(model);
 }
 
+std::vector<float> train_sae(const TrainerConfig& cfg,
+                             const data::Dataset& data) {
+  SaeConfig mcfg;
+  mcfg.visible = data.dim();
+  mcfg.hidden = 8;
+  SparseAutoencoder model(mcfg, 7);
+  Trainer(cfg).train(model, data);
+  return sae_params(model);
+}
+
+std::vector<float> train_rbm(const TrainerConfig& cfg,
+                             const data::Dataset& data) {
+  RbmConfig mcfg;
+  mcfg.visible = data.dim();
+  mcfg.hidden = 8;
+  Rbm model(mcfg, 7);
+  Trainer(cfg).train(model, data);
+  return rbm_params(model);
+}
+
 // --- single-slot parity: DataParallelTrainer(1,1) ≡ Trainer, bitwise ---
 
 TEST(DataParallel, SingleSlotMatchesTrainerBitwiseSae) {
@@ -168,6 +189,57 @@ TEST(DataParallel, SingleSlotMatchesTrainerBitwiseRbm) {
   const std::vector<float> dp = train_rbm_dp(cfg, data, &dp_report);
   EXPECT_EQ(dp, rbm_params(reference));
   EXPECT_EQ(dp_report.chunk_mean_costs, ref_report.chunk_mean_costs);
+}
+
+// --- trained-parameter hashes, captured before the S-slot step became the
+// only trainer. FNV-1a over the raw float bytes, so any change to kernel
+// order, RNG streams, update order or the combine shows up as a mismatch. ---
+
+std::uint64_t param_hash(const std::vector<float>& params) {
+  return data::fnv1a64(params.data(), params.size() * sizeof(float));
+}
+
+constexpr OptLevel kAllLevels[] = {OptLevel::kBaseline, OptLevel::kOpenMp,
+                                   OptLevel::kOpenMpMkl, OptLevel::kImproved};
+
+TEST(TrainedParamHash, SaeEveryLevel) {
+  const data::Dataset data = ragged_patches();
+  const std::uint64_t expected[] = {0x1db7dd71cc1a0df6ULL, 0x1db7dd71cc1a0df6ULL,
+                                    0xc427db23d81c09f6ULL, 0x3010edc395b68ea9ULL};
+  for (int i = 0; i < 4; ++i) {
+    TrainerConfig cfg = dp_config(1, 1);
+    cfg.level = kAllLevels[i];
+    const std::uint64_t hash = param_hash(train_sae(cfg, data));
+    EXPECT_EQ(hash, expected[i])
+        << to_string(cfg.level) << std::hex << " 0x" << hash;
+  }
+}
+
+TEST(TrainedParamHash, RbmEveryLevel) {
+  const data::Dataset data = ragged_patches();
+  const std::uint64_t expected[] = {0x9aeb1307138ce10aULL, 0x9aeb1307138ce10aULL,
+                                    0xff4a37370b1cc6c9ULL, 0xff4a37370b1cc6c9ULL};
+  for (int i = 0; i < 4; ++i) {
+    TrainerConfig cfg = dp_config(1, 1);
+    cfg.level = kAllLevels[i];
+    const std::uint64_t hash = param_hash(train_rbm(cfg, data));
+    EXPECT_EQ(hash, expected[i])
+        << to_string(cfg.level) << std::hex << " 0x" << hash;
+  }
+}
+
+TEST(TrainedParamHash, RbmTaskGraph) {
+  const data::Dataset data = ragged_patches();
+  TrainerConfig cfg = dp_config(1, 1);
+  cfg.use_taskgraph = true;
+  const std::uint64_t hash = param_hash(train_rbm(cfg, data));
+  EXPECT_EQ(hash, 0x475e126d6486804aULL) << std::hex << "0x" << hash;
+}
+
+TEST(TrainedParamHash, RbmFourSlots) {
+  const data::Dataset data = ragged_patches();
+  const std::uint64_t hash = param_hash(train_rbm(dp_config(2, 2), data));
+  EXPECT_EQ(hash, 0xe57767104635c720ULL) << std::hex << "0x" << hash;
 }
 
 // --- factorization parity: fixed S, any (R, A), any thread budget ---
