@@ -18,8 +18,8 @@
 // messages back to the tree. "auto" is argmin of the three, so its column
 // must equal the best fixed column at every row.
 //
-// Table 3 — real execution: DataParallelTrainer with a phi::Cluster
-// attached, on this build machine. Wall seconds are honest host numbers;
+// Table 3 — real execution: core::Trainer's S-slot step with a phi::Cluster
+// attached, on the build machine. Wall seconds are honest host numbers;
 // the collective/wire/share columns are the cluster's accumulated modeled
 // interconnect activity for the same run (pinned model==measure by
 // tests/cluster_test.cpp).
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/data_parallel_trainer.hpp"
+#include "core/trainer.hpp"
 #include "core/levels.hpp"
 #include "data/patches.hpp"
 #include "parallel/collectives.hpp"
@@ -193,7 +193,7 @@ void run_real_cluster(const util::Options& options) {
                                             cards, cluster.interconnect())
                   : Collective::kTree;
 
-    core::DataParallelTrainer trainer(cfg);
+    core::Trainer trainer(cfg);
     const core::TrainReport report = trainer.train(model, data);
     const phi::ClusterCommStats& comm = cluster.comm();
     table.add_row(

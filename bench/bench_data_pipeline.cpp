@@ -55,7 +55,7 @@ struct DrainResult {
 };
 
 // Drains one full pass of `source` through a background ChunkStream,
-// recycling every chunk (the steady-state pooled path run_train_loop uses).
+// recycling every chunk (the steady-state pooled path core::Trainer uses).
 DrainResult drain(const data::StreamingSource& source, la::Index chunk,
                   la::Index window) {
   obs::Histogram& io = obs::histogram("data.stage.io");

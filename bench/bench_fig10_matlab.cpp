@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   const double chunk_bytes = 4.0 * static_cast<double>(chunk) * visible;
   const double phi_s = bench::phi_run_seconds(
-      phi_stats, core::train_chunks(run), chunk_bytes, phi::xeon_phi_5110p(), 240);
+      phi_stats, core::train_counts(run).chunks, chunk_bytes, phi::xeon_phi_5110p(), 240);
   const double matlab_s =
       bench::host_run_seconds(matlab_stats, phi::matlab_host(), 8);
 

@@ -50,7 +50,7 @@ void run_model(const util::Options& options, bool rbm) {
     }
     const double chunk_bytes = 4.0 * static_cast<double>(chunk) * net.visible;
     const double phi_s = bench::phi_run_seconds(
-        stats, core::train_chunks(run), chunk_bytes, phi_spec, 240);
+        stats, core::train_counts(run).chunks, chunk_bytes, phi_spec, 240);
     const double host_s = bench::host_run_seconds(stats, host_spec, 1);
     table.add_row({std::to_string(net.visible) + "x" + std::to_string(net.hidden),
                    util::Table::cell(static_cast<long long>(net.visible * net.hidden)),

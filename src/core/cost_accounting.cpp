@@ -255,112 +255,109 @@ KernelStats rbm_loop_update(const RbmShape& s) {
   return k;
 }
 
-template <typename PerBatch>
-KernelStats train_stats_impl(const TrainShape& run, PerBatch&& per_batch) {
-  DEEPPHI_CHECK_MSG(run.examples >= 1 && run.batch >= 1 && run.chunk >= run.batch,
-                    "bad TrainShape");
+// Update work of one step: one Optimizer::update per parameter buffer on the
+// matrix-form levels (`buffers` in update order), the SGD loops otherwise.
+KernelStats matrix_update(const std::vector<la::Index>& buffers,
+                          OptimizerKind opt) {
   KernelStats k;
+  for (const la::Index n : buffers) k += optimizer_update(n, opt);
+  return k;
+}
+
+std::vector<la::Index> sae_buffers(const SaeShape& s) {
+  return {s.hidden * s.visible, s.hidden, s.visible * s.hidden, s.visible};
+}
+
+std::vector<la::Index> rbm_buffers(const RbmShape& s) {
+  return {s.hidden * s.visible, s.visible, s.hidden};
+}
+
+// The one replay of Trainer's loop: per chunk (up to run.chunk rows of the
+// epoch) `on_chunk(rows)`, then per group of up to S·batch rows
+// `on_group(shards)` with the slot shards exactly as the trainer computes
+// them (data::shard_rows over S).
+template <typename ChunkFn, typename GroupFn>
+void walk_train(const TrainShape& run, ChunkFn&& on_chunk,
+                GroupFn&& on_group) {
+  DEEPPHI_CHECK_MSG(run.examples >= 1 && run.batch >= 1 &&
+                        run.chunk >= run.batch && run.slots >= 1,
+                    "bad TrainShape");
+  const la::Index group_capacity =
+      static_cast<la::Index>(run.slots) * run.batch;
   for (int epoch = 0; epoch < run.epochs; ++epoch) {
     for (la::Index begin = 0; begin < run.examples; begin += run.chunk) {
       const la::Index chunk_rows = std::min(run.chunk, run.examples - begin);
-      k += phi::h2d_contribution(4.0 * static_cast<double>(chunk_rows) *
-                                 1.0);  // dim factored in by caller
-      for (la::Index b0 = 0; b0 < chunk_rows; b0 += run.batch) {
-        const la::Index rows = std::min(run.batch, chunk_rows - b0);
-        k += per_batch(rows);
-      }
+      on_chunk(chunk_rows);
+      for (la::Index b0 = 0; b0 < chunk_rows; b0 += group_capacity)
+        on_group(data::shard_rows(std::min(group_capacity, chunk_rows - b0),
+                                  run.slots));
     }
   }
+}
+
+// Full-run stats: each chunk's h2d transfer of `dim`-float rows, then per
+// group one `gradient(rows)` per live slot, the tree combine over `buffers`
+// and the step's `update`.
+template <typename GradFn>
+KernelStats replay_train(const TrainShape& run, la::Index dim,
+                         const std::vector<la::Index>& buffers,
+                         const KernelStats& update, GradFn&& gradient) {
+  KernelStats k;
+  walk_train(
+      run,
+      [&](la::Index rows) {
+        k += phi::h2d_contribution(4.0 * static_cast<double>(rows) *
+                                   static_cast<double>(dim));
+      },
+      [&](const std::vector<data::RowShard>& shards) {
+        KernelStats step;
+        int live = 0;
+        for (const data::RowShard& shard : shards)
+          if (shard.rows > 0) {
+            step += gradient(shard.rows);
+            ++live;
+          }
+        step += dp_combine_stats(buffers, live);
+        step += update;
+        k += step;
+      });
   return k;
 }
 
 }  // namespace
 
-phi::KernelStats sae_batch_stats(const SaeShape& shape, OptLevel level,
-                                 OptimizerKind opt) {
-  const la::Index v = shape.visible, h = shape.hidden;
+phi::KernelStats sae_gradient_stats(const SaeShape& shape, OptLevel level) {
   DEEPPHI_CHECK_MSG(!shape.tied_weights || is_matrix_form(level),
                     "tied weights are matrix-form only");
-  if (is_matrix_form(level)) {
-    KernelStats k = sae_matrix_gradient(shape, is_fused(level));
-    k += optimizer_update(h * v, opt);
-    k += optimizer_update(h, opt);
-    k += optimizer_update(v * h, opt);
-    k += optimizer_update(v, opt);
-    return k;
-  }
-  return sae_loop_gradient(shape) + sae_loop_update(shape);
+  return is_matrix_form(level) ? sae_matrix_gradient(shape, is_fused(level))
+                               : sae_loop_gradient(shape);
 }
 
-phi::KernelStats rbm_batch_stats(const RbmShape& shape, OptLevel level,
-                                 OptimizerKind opt, bool taskgraph) {
-  const la::Index v = shape.visible, h = shape.hidden;
+phi::KernelStats rbm_gradient_stats(const RbmShape& shape, OptLevel level,
+                                    bool taskgraph) {
   DEEPPHI_CHECK_MSG(!shape.gaussian_visible || is_matrix_form(level),
                     "Gaussian visibles are matrix-form only");
   DEEPPHI_CHECK_MSG(!shape.gaussian_visible || !taskgraph,
                     "the Fig. 6 graph models the binary RBM");
-  if (is_matrix_form(level)) {
-    KernelStats k = taskgraph ? rbm_taskgraph_gradient(shape)
-                              : rbm_matrix_gradient(shape, is_fused(level));
-    k += optimizer_update(h * v, opt);
-    k += optimizer_update(v, opt);
-    k += optimizer_update(h, opt);
-    return k;
-  }
-  DEEPPHI_CHECK_MSG(!taskgraph, "task graph requires a matrix-form level");
-  return rbm_loop_gradient(shape) + rbm_loop_update(shape);
+  DEEPPHI_CHECK_MSG(!taskgraph || is_matrix_form(level),
+                    "task graph requires a matrix-form level");
+  if (taskgraph) return rbm_taskgraph_gradient(shape);
+  return is_matrix_form(level) ? rbm_matrix_gradient(shape, is_fused(level))
+                               : rbm_loop_gradient(shape);
 }
 
-std::int64_t train_batches(const TrainShape& run) {
-  std::int64_t batches = 0;
-  for (int epoch = 0; epoch < run.epochs; ++epoch)
-    for (la::Index begin = 0; begin < run.examples; begin += run.chunk) {
-      const la::Index chunk_rows = std::min(run.chunk, run.examples - begin);
-      batches += (chunk_rows + run.batch - 1) / run.batch;
-    }
-  return batches;
+phi::KernelStats sae_batch_stats(const SaeShape& shape, OptLevel level,
+                                 OptimizerKind opt) {
+  return sae_gradient_stats(shape, level) +
+         (is_matrix_form(level) ? matrix_update(sae_buffers(shape), opt)
+                                : sae_loop_update(shape));
 }
 
-std::int64_t train_chunks(const TrainShape& run) {
-  const std::int64_t per_epoch = (run.examples + run.chunk - 1) / run.chunk;
-  return per_epoch * run.epochs;
-}
-
-phi::KernelStats sae_train_stats(const TrainShape& run, const SaeShape& shape,
-                                 OptLevel level, OptimizerKind opt) {
-  KernelStats k = train_stats_impl(run, [&](la::Index rows) {
-    SaeShape s = shape;
-    s.batch = rows;
-    return sae_batch_stats(s, level, opt);
-  });
-  // train_stats_impl charges 4 B per example; scale transfers by the example
-  // dimensionality.
-  k.h2d_bytes *= static_cast<double>(shape.visible);
-  return k;
-}
-
-phi::KernelStats rbm_train_stats(const TrainShape& run, const RbmShape& shape,
-                                 OptLevel level, OptimizerKind opt,
-                                 bool taskgraph) {
-  KernelStats k = train_stats_impl(run, [&](la::Index rows) {
-    RbmShape s = shape;
-    s.batch = rows;
-    return rbm_batch_stats(s, level, opt, taskgraph);
-  });
-  k.h2d_bytes *= static_cast<double>(shape.visible);
-  return k;
-}
-
-phi::KernelStats sae_gradient_stats(const SaeShape& shape, OptLevel level) {
-  DEEPPHI_CHECK_MSG(is_matrix_form(level),
-                    "per-slot gradient stats are matrix-form only");
-  return sae_matrix_gradient(shape, is_fused(level));
-}
-
-phi::KernelStats rbm_gradient_stats(const RbmShape& shape, OptLevel level) {
-  DEEPPHI_CHECK_MSG(is_matrix_form(level),
-                    "per-slot gradient stats are matrix-form only");
-  return rbm_matrix_gradient(shape, is_fused(level));
+phi::KernelStats rbm_batch_stats(const RbmShape& shape, OptLevel level,
+                                 OptimizerKind opt, bool taskgraph) {
+  return rbm_gradient_stats(shape, level, taskgraph) +
+         (is_matrix_form(level) ? matrix_update(rbm_buffers(shape), opt)
+                                : rbm_loop_update(shape));
 }
 
 phi::KernelStats optimizer_update_stats(la::Index n, OptimizerKind kind) {
@@ -380,77 +377,49 @@ phi::KernelStats dp_combine_stats(const std::vector<la::Index>& buffer_sizes,
   return k;
 }
 
-namespace {
+phi::KernelStats sae_train_stats(const TrainShape& run, const SaeShape& shape,
+                                 OptLevel level, OptimizerKind opt) {
+  DEEPPHI_CHECK_MSG(run.slots == 1 || is_matrix_form(level),
+                    "S > 1 requires a matrix-form level");
+  const std::vector<la::Index> buffers = sae_buffers(shape);
+  const KernelStats update = is_matrix_form(level)
+                                 ? matrix_update(buffers, opt)
+                                 : sae_loop_update(shape);
+  return replay_train(run, shape.visible, buffers, update,
+                      [&](la::Index rows) {
+                        SaeShape s = shape;
+                        s.batch = rows;
+                        return sae_gradient_stats(s, level);
+                      });
+}
 
-// Replays DataParallelTrainer's chunk / group / shard structure: per chunk
-// one h2d transfer, per group of up to S·batch rows one gradient per live
-// slot (shard sizes from data::shard_rows, exactly as the trainer computes
-// them), the tree combine, and one optimizer update over `buffers`.
-template <typename GradFn>
-KernelStats dp_train_stats_impl(const TrainShape& run,
-                                const DataParallelShape& dp,
-                                const std::vector<la::Index>& buffers,
-                                OptimizerKind opt, GradFn&& slot_gradient) {
-  DEEPPHI_CHECK_MSG(
-      run.examples >= 1 && run.batch >= 1 && run.chunk >= run.batch,
-      "bad TrainShape");
-  const int S = dp.slots();
-  DEEPPHI_CHECK_MSG(dp.replicas >= 1 && dp.accumulation_steps >= 1,
-                    "bad DataParallelShape");
-  const la::Index group_capacity = static_cast<la::Index>(S) * run.batch;
-  KernelStats k;
-  for (int epoch = 0; epoch < run.epochs; ++epoch) {
-    for (la::Index begin = 0; begin < run.examples; begin += run.chunk) {
-      const la::Index chunk_rows = std::min(run.chunk, run.examples - begin);
-      k += phi::h2d_contribution(4.0 * static_cast<double>(chunk_rows) *
-                                 1.0);  // dim factored in by caller
-      for (la::Index b0 = 0; b0 < chunk_rows; b0 += group_capacity) {
-        const la::Index rows = std::min(group_capacity, chunk_rows - b0);
-        const std::vector<data::RowShard> shards = data::shard_rows(rows, S);
-        int live = 0;
+phi::KernelStats rbm_train_stats(const TrainShape& run, const RbmShape& shape,
+                                 OptLevel level, OptimizerKind opt,
+                                 bool taskgraph) {
+  DEEPPHI_CHECK_MSG(run.slots == 1 || (is_matrix_form(level) && !taskgraph),
+                    "S > 1 requires a matrix-form level and no task graph");
+  const std::vector<la::Index> buffers = rbm_buffers(shape);
+  const KernelStats update = is_matrix_form(level)
+                                 ? matrix_update(buffers, opt)
+                                 : rbm_loop_update(shape);
+  return replay_train(run, shape.visible, buffers, update,
+                      [&](la::Index rows) {
+                        RbmShape s = shape;
+                        s.batch = rows;
+                        return rbm_gradient_stats(s, level, taskgraph);
+                      });
+}
+
+TrainCounts train_counts(const TrainShape& run) {
+  TrainCounts counts;
+  walk_train(
+      run, [&](la::Index) { ++counts.chunks; },
+      [&](const std::vector<data::RowShard>& shards) {
+        ++counts.updates;
         for (const data::RowShard& shard : shards)
-          if (shard.rows > 0) {
-            k += slot_gradient(shard.rows);
-            ++live;
-          }
-        k += dp_combine_stats(buffers, live);
-        for (const la::Index n : buffers) k += optimizer_update(n, opt);
-      }
-    }
-  }
-  return k;
-}
-
-}  // namespace
-
-phi::KernelStats sae_dp_train_stats(const TrainShape& run,
-                                    const SaeShape& shape,
-                                    const DataParallelShape& dp, OptLevel level,
-                                    OptimizerKind opt) {
-  const la::Index v = shape.visible, h = shape.hidden;
-  KernelStats k = dp_train_stats_impl(
-      run, dp, {h * v, h, v * h, v}, opt, [&](la::Index rows) {
-        SaeShape s = shape;
-        s.batch = rows;
-        return sae_gradient_stats(s, level);
+          if (shard.rows > 0) ++counts.batches;
       });
-  k.h2d_bytes *= static_cast<double>(shape.visible);
-  return k;
-}
-
-phi::KernelStats rbm_dp_train_stats(const TrainShape& run,
-                                    const RbmShape& shape,
-                                    const DataParallelShape& dp, OptLevel level,
-                                    OptimizerKind opt) {
-  const la::Index v = shape.visible, h = shape.hidden;
-  KernelStats k = dp_train_stats_impl(
-      run, dp, {h * v, v, h}, opt, [&](la::Index rows) {
-        RbmShape s = shape;
-        s.batch = rows;
-        return rbm_gradient_stats(s, level);
-      });
-  k.h2d_bytes *= static_cast<double>(shape.visible);
-  return k;
+  return counts;
 }
 
 phi::KernelStats quant_encode_stats(la::Index batch, la::Index inputs,
@@ -476,22 +445,6 @@ phi::KernelStats quant_encode_stats(la::Index batch,
   return k;
 }
 
-phi::KernelStats sae_cluster_train_stats(const TrainShape& run,
-                                         const SaeShape& shape,
-                                         const ClusterShape& cl, OptLevel level,
-                                         OptimizerKind opt) {
-  DEEPPHI_CHECK_MSG(cl.cards >= 1, "cards must be >= 1");
-  return sae_dp_train_stats(run, shape, cl.as_data_parallel(), level, opt);
-}
-
-phi::KernelStats rbm_cluster_train_stats(const TrainShape& run,
-                                         const RbmShape& shape,
-                                         const ClusterShape& cl, OptLevel level,
-                                         OptimizerKind opt) {
-  DEEPPHI_CHECK_MSG(cl.cards >= 1, "cards must be >= 1");
-  return rbm_dp_train_stats(run, shape, cl.as_data_parallel(), level, opt);
-}
-
 phi::KernelStats cluster_card_combine_stats(
     const std::vector<la::Index>& buffer_sizes, int card_live_slots,
     int global_live_slots, bool root, OptimizerKind opt) {
@@ -511,37 +464,24 @@ phi::KernelStats cluster_card_combine_stats(
   return k;
 }
 
-ClusterCommReplay cluster_comm_replay(const TrainShape& run,
-                                      const ClusterShape& cl,
+ClusterCommReplay cluster_comm_replay(const TrainShape& run, int cards,
                                       double message_bytes,
                                       par::Collective algorithm,
                                       const phi::InterconnectSpec& link) {
   DEEPPHI_CHECK_MSG(algorithm != par::Collective::kAuto,
                     "cluster_comm_replay needs a concrete algorithm "
                     "(resolve_collective first)");
+  DEEPPHI_CHECK_MSG(cards >= 1, "cards must be >= 1");
   ClusterCommReplay replay;
-  if (cl.cards <= 1) return replay;  // nothing crosses a link
-  const std::int64_t updates = dp_train_updates(run, cl.as_data_parallel());
+  if (cards == 1) return replay;  // nothing crosses a link
+  const std::int64_t updates = train_counts(run).updates;
   const par::CollectiveSchedule sched =
-      par::all_reduce_schedule(algorithm, message_bytes, cl.cards);
+      par::all_reduce_schedule(algorithm, message_bytes, cards);
   replay.seconds = static_cast<double>(updates) * sched.time_s(link);
   replay.wire_bytes = static_cast<double>(updates) * sched.wire_bytes;
   replay.rounds = updates * sched.rounds;
   replay.collectives = updates;
   return replay;
-}
-
-std::int64_t dp_train_updates(const TrainShape& run,
-                              const DataParallelShape& dp) {
-  const la::Index group_capacity =
-      static_cast<la::Index>(dp.slots()) * run.batch;
-  std::int64_t updates = 0;
-  for (int epoch = 0; epoch < run.epochs; ++epoch)
-    for (la::Index begin = 0; begin < run.examples; begin += run.chunk) {
-      const la::Index chunk_rows = std::min(run.chunk, run.examples - begin);
-      updates += (chunk_rows + group_capacity - 1) / group_capacity;
-    }
-  return updates;
 }
 
 }  // namespace deepphi::core

@@ -48,103 +48,57 @@ phi::KernelStats rbm_batch_stats(const RbmShape& shape, OptLevel level,
                                  OptimizerKind opt = OptimizerKind::kSgd,
                                  bool taskgraph = false);
 
-/// How a training run is shaped: dataset size, batch, chunking, passes.
-struct TrainShape {
-  la::Index examples = 0;
-  la::Index batch = 1000;
-  la::Index chunk = 10000;
-  int epochs = 1;
-};
-
-/// Full-run stats (chunk h2d transfers + every batch step), replicating
-/// Trainer::run_loop's chunk/batch structure including short tails.
-phi::KernelStats sae_train_stats(const TrainShape& run, const SaeShape& shape,
-                                 OptLevel level,
-                                 OptimizerKind opt = OptimizerKind::kSgd);
-
-phi::KernelStats rbm_train_stats(const TrainShape& run, const RbmShape& shape,
-                                 OptLevel level,
-                                 OptimizerKind opt = OptimizerKind::kSgd,
-                                 bool taskgraph = false);
-
-/// Number of gradient steps the run performs (for reporting).
-std::int64_t train_batches(const TrainShape& run);
-/// Number of chunks the run transfers.
-std::int64_t train_chunks(const TrainShape& run);
-
-// --- data-parallel accounting (docs/data_parallel.md) ---
-
-/// Gradient-only work of one micro-batch at a matrix-form level — the
-/// per-slot work of a data-parallel global step (no optimizer update, which
-/// a data-parallel run applies once per S slots, not once per slot).
+/// Gradient-only work of one micro-batch — the per-slot work of a training
+/// step (the update is applied once per S slots, not once per slot).
 phi::KernelStats sae_gradient_stats(const SaeShape& shape, OptLevel level);
-phi::KernelStats rbm_gradient_stats(const RbmShape& shape, OptLevel level);
+phi::KernelStats rbm_gradient_stats(const RbmShape& shape, OptLevel level,
+                                    bool taskgraph = false);
 
 /// Work of one Optimizer::update call on an n-element parameter buffer
 /// (matrix-form levels).
 phi::KernelStats optimizer_update_stats(la::Index n, OptimizerKind kind);
 
-/// Data-parallel geometry of a training run.
-struct DataParallelShape {
-  int replicas = 1;
-  int accumulation_steps = 1;
-  int slots() const { return replicas * accumulation_steps; }
-};
-
-/// Combine work of one data-parallel global step with `live_slots` non-empty
-/// gradient slots over the model's gradient buffers (element counts in
-/// `buffer_sizes`): live−1 axpy contributions per buffer (the binary tree)
-/// plus one mean scal per buffer. Zero work when live_slots == 1 — the
-/// single-slot path adds no kernels, which is what makes it bit-identical to
-/// the single-team trainer.
+/// Combine work of one step with `live_slots` non-empty gradient slots over
+/// the model's gradient buffers (element counts in `buffer_sizes`): live−1
+/// axpy contributions per buffer (the binary tree) plus one mean scal per
+/// buffer. Zero work when live_slots == 1, so the S == 1 step is exactly
+/// gradient + update.
 phi::KernelStats dp_combine_stats(const std::vector<la::Index>& buffer_sizes,
                                   int live_slots);
 
-/// Full data-parallel run stats, replaying DataParallelTrainer's
-/// chunk / group / shard structure exactly (ragged chunk tails, empty
-/// slots, one optimizer update per group). With slots() == 1 this equals
-/// sae_train_stats / rbm_train_stats at the same matrix-form level.
-phi::KernelStats sae_dp_train_stats(const TrainShape& run,
-                                    const SaeShape& shape,
-                                    const DataParallelShape& dp, OptLevel level,
-                                    OptimizerKind opt = OptimizerKind::kSgd);
-phi::KernelStats rbm_dp_train_stats(const TrainShape& run,
-                                    const RbmShape& shape,
-                                    const DataParallelShape& dp, OptLevel level,
-                                    OptimizerKind opt = OptimizerKind::kSgd);
-
-/// Number of optimizer updates a data-parallel run applies.
-std::int64_t dp_train_updates(const TrainShape& run,
-                              const DataParallelShape& dp);
-
-// --- cluster accounting (docs/cluster.md) ---
-
-/// Geometry of a multi-card run: S = replicas × accumulation_steps × cards
-/// global gradient slots per step, card c owning the contiguous slot block
-/// [c·R·A, (c+1)·R·A).
-struct ClusterShape {
-  int replicas = 1;
-  int accumulation_steps = 1;
-  int cards = 1;
-  int global_slots() const { return replicas * accumulation_steps * cards; }
-  /// The flat data-parallel view: the trainer's functional work depends only
-  /// on the global slot count, never on the card split.
-  DataParallelShape as_data_parallel() const {
-    return DataParallelShape{replicas * cards, accumulation_steps};
-  }
+/// How a training run is shaped: dataset size, batch, chunking, passes, and
+/// the gradient slots per update, S = replicas × accumulation_steps × cards.
+/// Only S matters to the work: the trainer combines the slots with one flat
+/// tree whatever the factorization (docs/cluster.md).
+struct TrainShape {
+  la::Index examples = 0;
+  la::Index batch = 1000;
+  la::Index chunk = 10000;
+  int epochs = 1;
+  int slots = 1;
 };
 
-/// Host-side work of a cluster run — identical to the data-parallel replay
-/// at S = global_slots(), because the trainer keeps the flat global combine
-/// (cards change WHERE work is charged, not what runs; docs/cluster.md).
-phi::KernelStats sae_cluster_train_stats(const TrainShape& run,
-                                         const SaeShape& shape,
-                                         const ClusterShape& cl, OptLevel level,
-                                         OptimizerKind opt = OptimizerKind::kSgd);
-phi::KernelStats rbm_cluster_train_stats(const TrainShape& run,
-                                         const RbmShape& shape,
-                                         const ClusterShape& cl, OptLevel level,
-                                         OptimizerKind opt = OptimizerKind::kSgd);
+/// Full-run stats (chunk h2d transfers + every step), replaying Trainer's
+/// chunk / group / shard structure exactly: ragged chunk tails, empty slots,
+/// the tree combine and one update per group of up to S·batch rows.
+/// S > 1 requires a matrix-form level and no task graph, as in the trainer.
+phi::KernelStats sae_train_stats(const TrainShape& run, const SaeShape& shape,
+                                 OptLevel level,
+                                 OptimizerKind opt = OptimizerKind::kSgd);
+phi::KernelStats rbm_train_stats(const TrainShape& run, const RbmShape& shape,
+                                 OptLevel level,
+                                 OptimizerKind opt = OptimizerKind::kSgd,
+                                 bool taskgraph = false);
+
+/// What a run performs, counted by the same replay.
+struct TrainCounts {
+  std::int64_t chunks = 0;   // chunk transfers
+  std::int64_t batches = 0;  // micro-batch gradient evaluations
+  std::int64_t updates = 0;  // optimizer updates (one per slot group)
+};
+TrainCounts train_counts(const TrainShape& run);
+
+// --- cluster accounting (docs/cluster.md) ---
 
 /// One card's share of a global step's combine under the cluster charging
 /// model: the card folds its own live slots with a local tree (live−1 axpy
@@ -156,18 +110,17 @@ phi::KernelStats cluster_card_combine_stats(
     const std::vector<la::Index>& buffer_sizes, int card_live_slots,
     int global_live_slots, bool root, OptimizerKind opt);
 
-/// Modeled interconnect activity of a full cluster run: one all-reduce of
-/// `message_bytes` per optimizer update, under `algorithm`'s schedule on
-/// `link`. Pinned equal to phi::Cluster's measured accumulation by
-/// tests/cluster_test.cpp.
+/// Modeled interconnect activity of a full run over `cards` cards (run.slots
+/// counts the global slots): one all-reduce of `message_bytes` per optimizer
+/// update, under `algorithm`'s schedule on `link`. Pinned equal to
+/// phi::Cluster's measured accumulation by tests/cluster_test.cpp.
 struct ClusterCommReplay {
   double seconds = 0;
   double wire_bytes = 0;
   std::int64_t rounds = 0;
   std::int64_t collectives = 0;
 };
-ClusterCommReplay cluster_comm_replay(const TrainShape& run,
-                                      const ClusterShape& cl,
+ClusterCommReplay cluster_comm_replay(const TrainShape& run, int cards,
                                       double message_bytes,
                                       par::Collective algorithm,
                                       const phi::InterconnectSpec& link);

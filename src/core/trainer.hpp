@@ -12,6 +12,24 @@
 // finished TrainReport can be replayed on any simulated machine via
 // simulate() — that replay is how the benches obtain Phi/CPU/Matlab times on
 // hardware that no longer exists.
+//
+// Every batch step is the S-slot step (docs/data_parallel.md), with
+// S = replicas × accumulation_steps × cards gradient slots: a group of up
+// to S·batch_size chunk rows is split by data::shard_rows into S slots,
+// R replica workers (par::ReplicaGroup) compute the slot gradients, a fixed
+// binary tree combines the live slots, and ONE update is applied. The
+// default S == 1 is Algorithm 1's plain step: one slot, run inline on the
+// calling thread, with no combine work. Determinism contract (tested in
+// tests/data_parallel_test.cpp and tests/cluster_test.cpp):
+//   - Slot row ranges depend only on the group's row count and S, and a
+//     slot's RNG stream is split(update_index·S + slot), never on which
+//     replica or card ran it or with how many threads.
+//   - The combine pairs the live slots in ascending order and then
+//     mean-scales — no atomics, no arrival order — so a fixed seed and a
+//     fixed S give bit-identical parameters for ANY (replicas,
+//     accumulation_steps, cards) factorization and any replica_threads.
+//   - cards > 1 (docs/cluster.md) only re-labels WHERE slots live and
+//     charges the modeled inter-card all-reduce to the interconnect.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +77,7 @@ struct TrainerConfig {
   /// optimizer update — an effective batch of up to S × batch_size examples.
   /// Replica r computes slots r·A+a concurrently with the other replicas on
   /// a private OpenMP team. With replicas == 1 and accumulation_steps == 1
-  /// training takes the single-team path, unchanged. S > 1 requires a
+  /// the single slot runs inline on the calling thread. S > 1 requires a
   /// matrix-form level and is incompatible with use_taskgraph.
   int replicas = 1;
   /// OpenMP threads per replica's kernels; 0 = ambient threads / replicas.
@@ -121,9 +139,9 @@ struct TrainReport {
   double final_cost = 0;        // cost of the last batch
   std::vector<double> chunk_mean_costs;
   std::int64_t batches = 0;     // micro-batch gradient evaluations
-  /// Optimizer steps applied. Equals `batches` on the single-team path; a
-  /// data-parallel run applies one update per S-slot group, so
-  /// updates ≈ batches / S (exactly, up to ragged chunk tails).
+  /// Optimizer steps applied: one per S-slot group, so updates == batches
+  /// at S == 1 and updates ≈ batches / S otherwise (exactly, up to ragged
+  /// chunk tails).
   std::int64_t updates = 0;
   std::int64_t chunks = 0;
   double chunk_bytes = 0;       // bytes of one full chunk
@@ -149,6 +167,11 @@ class Trainer {
 
   const TrainerConfig& config() const { return config_; }
 
+  /// Gradient slots per step (replicas × accumulation_steps × cards).
+  int slots() const {
+    return config_.replicas * config_.accumulation_steps * config_.cards;
+  }
+
   /// Trains the Sparse Autoencoder over `dataset` for config.epochs passes.
   /// Any StreamingSource feeds the same loop: an in-memory data::Dataset or
   /// an out-of-core data::ShardedDataset train bitwise identically under the
@@ -161,10 +184,6 @@ class Trainer {
   TrainReport train(Rbm& model, const data::StreamingSource& dataset);
 
  private:
-  template <typename StepFn>
-  TrainReport run_loop(const data::StreamingSource& dataset, la::Index dim,
-                       double model_bytes, StepFn&& step);
-
   TrainerConfig config_;
 };
 

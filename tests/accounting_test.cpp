@@ -222,8 +222,10 @@ TEST(TrainAccounting, SaeTrainerMatchesModel) {
   EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6))
       << "measured: " << report.stats.to_string()
       << "\nmodeled:  " << modeled.to_string();
-  EXPECT_EQ(report.batches, train_batches(TrainShape{examples, batch, chunk, 1}));
-  EXPECT_EQ(report.chunks, train_chunks(TrainShape{examples, batch, chunk, 1}));
+  const TrainCounts counts = train_counts(TrainShape{examples, batch, chunk, 1});
+  EXPECT_EQ(report.batches, counts.batches);
+  EXPECT_EQ(report.updates, counts.updates);
+  EXPECT_EQ(report.chunks, counts.chunks);
 }
 
 TEST(TrainAccounting, RbmTrainerMatchesModelAcrossLevels) {
@@ -254,14 +256,15 @@ TEST(TrainAccounting, MultiEpochScales) {
   const phi::KernelStats s1 = sae_train_stats(one, shape, OptLevel::kImproved);
   const phi::KernelStats s3 = sae_train_stats(three, shape, OptLevel::kImproved);
   EXPECT_TRUE(s3.approx_equal(s1.scaled(3.0), 1e-9));
-  EXPECT_EQ(train_batches(three), 3 * train_batches(one));
+  EXPECT_EQ(train_counts(three).batches, 3 * train_counts(one).batches);
 }
 
 TEST(TrainAccounting, CountsHandleShortTails) {
   // 105 examples, chunks of 50: 50+50+5; batches per chunk 5+5+1.
   const TrainShape run{105, 10, 50, 1};
-  EXPECT_EQ(train_chunks(run), 3);
-  EXPECT_EQ(train_batches(run), 11);
+  EXPECT_EQ(train_counts(run).chunks, 3);
+  EXPECT_EQ(train_counts(run).batches, 11);
+  EXPECT_EQ(train_counts(run).updates, 11);
 }
 
 TEST(TrainAccounting, RbmTaskGraphTrainerMatchesModel) {

@@ -2,15 +2,14 @@
 // functional counterparts, the interconnect model, phi::Cluster's timeline,
 // and the cluster trainer's determinism contract — bitwise parity across
 // (replicas, accumulation_steps, cards) factorizations of the same global
-// slot count, cards = 1 reproducing DataParallelTrainer, and model==measure
-// for the interconnect accounting.
+// slot count, a one-card cluster matching the plain run, and model==measure
+// for the host work and the interconnect accounting.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <vector>
 
 #include "core/cost_accounting.hpp"
-#include "core/data_parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/patches.hpp"
 #include "parallel/collectives.hpp"
@@ -339,7 +338,7 @@ std::vector<float> train_sae(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
+  Trainer trainer(cfg);
   TrainReport report = trainer.train(model, data);
   if (report_out) *report_out = report;
   return sae_params(model);
@@ -351,7 +350,7 @@ std::vector<float> train_rbm(const TrainerConfig& cfg,
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   Rbm model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
+  Trainer trainer(cfg);
   trainer.train(model, data);
   return rbm_params(model);
 }
@@ -409,7 +408,7 @@ TEST(ClusterTrainer, AttachedClusterDoesNotChangeParameters) {
   EXPECT_GT(cluster.comm().collectives, 0);
 }
 
-TEST(ClusterTrainer, SingleCardClusterMatchesDataParallelTrainer) {
+TEST(ClusterTrainer, SingleCardClusterMatchesPlainRun) {
   const data::Dataset data = ragged_patches();
   const std::vector<float> plain = train_sae(cluster_config(2, 2, 1), data);
 
@@ -426,25 +425,10 @@ TEST(ClusterTrainer, SingleCardClusterMatchesDataParallelTrainer) {
   EXPECT_GT(cluster.device(0).elapsed_s(), 0.0);
 }
 
-TEST(ClusterTrainer, TrainerDelegatesCardsToDataParallel) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = cluster_config(1, 1, 4);
-  const std::vector<float> direct = train_sae(cfg, data);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder model(mcfg, 7);
-  Trainer trainer(cfg);
-  trainer.train(model, data);
-  EXPECT_EQ(sae_params(model), direct);
-}
-
 // --- validation ---
 
 TEST(ClusterTrainer, RejectsBadConfigurations) {
   TrainerConfig cfg = cluster_config(2, 1, 0);
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
   EXPECT_THROW(Trainer{cfg}, util::Error);
 
   cfg = cluster_config(1, 1, 2);
@@ -462,7 +446,7 @@ TEST(ClusterTrainer, RejectsBadConfigurations) {
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 7);
   const data::Dataset data = ragged_patches();
-  DataParallelTrainer trainer(cfg);
+  Trainer trainer(cfg);
   EXPECT_THROW(trainer.train(model, data), util::Error);
 
   // device and cluster are mutually exclusive.
@@ -470,7 +454,7 @@ TEST(ClusterTrainer, RejectsBadConfigurations) {
   cfg = cluster_config(1, 1, 2);
   cfg.cluster = &cluster;
   cfg.device = &device;
-  DataParallelTrainer both(cfg);
+  Trainer both(cfg);
   EXPECT_THROW(both.train(model, data), util::Error);
 }
 
@@ -480,15 +464,14 @@ TEST(ClusterAccounting, HostStatsEqualDataParallelReplayAtGlobalSlots) {
   const data::Dataset data = ragged_patches();
   TrainReport report;
   train_sae(cluster_config(2, 1, 2), data, &report);
-  const phi::KernelStats modeled = sae_cluster_train_stats(
-      TrainShape{330, 12, 128, 2}, SaeShape{12, 16, 8},
-      ClusterShape{2, 1, 2}, OptLevel::kImproved);
+  const phi::KernelStats modeled =
+      sae_train_stats(TrainShape{330, 12, 128, 2, 4}, SaeShape{12, 16, 8},
+                      OptLevel::kImproved);
   EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6));
-  // ... and the cluster replay IS the flat dp replay at S = R·A·C.
-  const phi::KernelStats dp = sae_dp_train_stats(
-      TrainShape{330, 12, 128, 2}, SaeShape{12, 16, 8},
-      DataParallelShape{4, 1}, OptLevel::kImproved);
-  EXPECT_TRUE(modeled.approx_equal(dp, 1e-9));
+  // ... and the host work IS the single-card run's at S = R·A·C.
+  TrainReport flat;
+  train_sae(cluster_config(4, 1, 1), data, &flat);
+  EXPECT_TRUE(report.stats.approx_equal(flat.stats, 1e-9));
 }
 
 TEST(ClusterAccounting, CommReplayEqualsMeasuredClusterComm) {
@@ -513,18 +496,16 @@ TEST(ClusterAccounting, CommReplayEqualsMeasuredClusterComm) {
       mcfg.hidden = 8;
       const double message_bytes =
           4.0 * static_cast<double>(SparseAutoencoder(mcfg, 7).param_count());
-      const ClusterCommReplay replay = cluster_comm_replay(
-          TrainShape{330, 12, 128, 2}, ClusterShape{1, 1, 3}, message_bytes,
-          alg, link);
+      const TrainShape run{330, 12, 128, 2, 3};
+      const ClusterCommReplay replay =
+          cluster_comm_replay(run, 3, message_bytes, alg, link);
       EXPECT_EQ(cluster.comm().collectives, replay.collectives)
           << link.name << " " << par::collective_name(alg);
       EXPECT_EQ(cluster.comm().rounds, replay.rounds);
       EXPECT_DOUBLE_EQ(cluster.comm().wire_bytes, replay.wire_bytes);
       EXPECT_NEAR(cluster.comm().seconds, replay.seconds,
                   1e-12 * replay.collectives);
-      EXPECT_EQ(replay.collectives,
-                dp_train_updates(TrainShape{330, 12, 128, 2},
-                                 DataParallelShape{3, 1}));
+      EXPECT_EQ(replay.collectives, train_counts(run).updates);
     }
   }
 }
@@ -553,13 +534,17 @@ TEST(ClusterAccounting, CardCombinePlusInterCardEdgesEqualFlatTree) {
 }
 
 TEST(ClusterAccounting, ShapeHelpers) {
-  const ClusterShape cl{2, 3, 4};
-  EXPECT_EQ(cl.global_slots(), 24);
-  EXPECT_EQ(cl.as_data_parallel().slots(), 24);
+  // 260 rows in chunks of 128 (128 + 128 + 4) over 24 slots of 12 rows:
+  // one group per chunk, every slot live in the full chunks, and the 4-row
+  // tail leaving 20 slots empty.
+  const TrainCounts counts = train_counts(TrainShape{260, 12, 128, 1, 24});
+  EXPECT_EQ(counts.chunks, 3);
+  EXPECT_EQ(counts.updates, 3);
+  EXPECT_EQ(counts.batches, 24 + 24 + 4);
   // cards = 1: no communication at all.
   const ClusterCommReplay none = cluster_comm_replay(
-      TrainShape{330, 12, 128, 2}, ClusterShape{2, 1, 1}, 1e6,
-      Collective::kRing, phi::pcie_p2p_interconnect());
+      TrainShape{330, 12, 128, 2, 2}, 1, 1e6, Collective::kRing,
+      phi::pcie_p2p_interconnect());
   EXPECT_EQ(none.collectives, 0);
   EXPECT_DOUBLE_EQ(none.seconds, 0.0);
 }

@@ -1,15 +1,14 @@
 // Data-parallel training tests (docs/data_parallel.md): shard coverage and
-// determinism of data::shard_rows, the DataParallelTrainer determinism
-// contract — single-slot runs reproduce core::Trainer bit for bit, and any
-// (replicas, accumulation_steps) factorization of the same slot count S
-// trains bit-identical parameters regardless of replica thread budgets —
-// plus the model==measure accounting of the new dp_* analytic stats.
+// determinism of data::shard_rows, the S-slot step's determinism contract —
+// trained-parameter hashes pinned for every level, the task graph and S = 4,
+// and any (replicas, accumulation_steps) factorization of the same slot
+// count S training bit-identical parameters regardless of replica thread
+// budgets — plus the model==measure accounting of the slot replay.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/cost_accounting.hpp"
-#include "core/data_parallel_trainer.hpp"
 #include "core/trainer.hpp"
 #include "data/chunk_stream.hpp"
 #include "data/patches.hpp"
@@ -67,7 +66,7 @@ TEST(ShardRows, SingleShardIsWholeRange) {
   EXPECT_EQ(out[0].rows, 77);
 }
 
-// --- trainer parity helpers ---
+// --- training helpers ---
 
 std::vector<float> sae_params(const SparseAutoencoder& m) {
   std::vector<float> p(static_cast<std::size_t>(m.param_count()));
@@ -106,89 +105,28 @@ data::Dataset ragged_patches() {
   return data::make_digit_patch_dataset(330, 4, 5);  // dim 16
 }
 
-std::vector<float> train_sae_dp(const TrainerConfig& cfg,
-                                const data::Dataset& data,
-                                TrainReport* report_out = nullptr) {
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  TrainReport report = trainer.train(model, data);
-  if (report_out) *report_out = report;
-  return sae_params(model);
-}
-
-std::vector<float> train_rbm_dp(const TrainerConfig& cfg,
-                                const data::Dataset& data,
-                                TrainReport* report_out = nullptr) {
-  RbmConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  Rbm model(mcfg, 7);
-  DataParallelTrainer trainer(cfg);
-  TrainReport report = trainer.train(model, data);
-  if (report_out) *report_out = report;
-  return rbm_params(model);
-}
-
 std::vector<float> train_sae(const TrainerConfig& cfg,
-                             const data::Dataset& data) {
+                             const data::Dataset& data,
+                             TrainReport* report_out = nullptr) {
   SaeConfig mcfg;
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   SparseAutoencoder model(mcfg, 7);
-  Trainer(cfg).train(model, data);
+  TrainReport report = Trainer(cfg).train(model, data);
+  if (report_out) *report_out = report;
   return sae_params(model);
 }
 
 std::vector<float> train_rbm(const TrainerConfig& cfg,
-                             const data::Dataset& data) {
+                             const data::Dataset& data,
+                             TrainReport* report_out = nullptr) {
   RbmConfig mcfg;
   mcfg.visible = data.dim();
   mcfg.hidden = 8;
   Rbm model(mcfg, 7);
-  Trainer(cfg).train(model, data);
+  TrainReport report = Trainer(cfg).train(model, data);
+  if (report_out) *report_out = report;
   return rbm_params(model);
-}
-
-// --- single-slot parity: DataParallelTrainer(1,1) ≡ Trainer, bitwise ---
-
-TEST(DataParallel, SingleSlotMatchesTrainerBitwiseSae) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(1, 1);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder reference(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport ref_report = trainer.train(reference, data);
-
-  TrainReport dp_report;
-  const std::vector<float> dp = train_sae_dp(cfg, data, &dp_report);
-  EXPECT_EQ(dp, sae_params(reference));
-  EXPECT_EQ(dp_report.batches, ref_report.batches);
-  EXPECT_EQ(dp_report.updates, ref_report.updates);
-  EXPECT_EQ(dp_report.chunk_mean_costs, ref_report.chunk_mean_costs);
-  EXPECT_TRUE(dp_report.stats.approx_equal(ref_report.stats, 1e-9));
-}
-
-TEST(DataParallel, SingleSlotMatchesTrainerBitwiseRbm) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(1, 1);
-
-  RbmConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  Rbm reference(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport ref_report = trainer.train(reference, data);
-
-  TrainReport dp_report;
-  const std::vector<float> dp = train_rbm_dp(cfg, data, &dp_report);
-  EXPECT_EQ(dp, rbm_params(reference));
-  EXPECT_EQ(dp_report.chunk_mean_costs, ref_report.chunk_mean_costs);
 }
 
 // --- trained-parameter hashes, captured before the S-slot step became the
@@ -247,9 +185,9 @@ TEST(TrainedParamHash, RbmFourSlots) {
 TEST(DataParallel, FactorizationsOfSameSlotCountBitIdenticalSae) {
   const data::Dataset data = ragged_patches();
   TrainReport r41, r14, r22;
-  const std::vector<float> p41 = train_sae_dp(dp_config(4, 1), data, &r41);
-  const std::vector<float> p14 = train_sae_dp(dp_config(1, 4), data, &r14);
-  const std::vector<float> p22 = train_sae_dp(dp_config(2, 2), data, &r22);
+  const std::vector<float> p41 = train_sae(dp_config(4, 1), data, &r41);
+  const std::vector<float> p14 = train_sae(dp_config(1, 4), data, &r14);
+  const std::vector<float> p22 = train_sae(dp_config(2, 2), data, &r22);
   EXPECT_EQ(p41, p14);
   EXPECT_EQ(p41, p22);
   EXPECT_EQ(r41.updates, r14.updates);
@@ -259,35 +197,20 @@ TEST(DataParallel, FactorizationsOfSameSlotCountBitIdenticalSae) {
 
 TEST(DataParallel, FactorizationsOfSameSlotCountBitIdenticalRbm) {
   const data::Dataset data = ragged_patches();
-  const std::vector<float> p41 = train_rbm_dp(dp_config(4, 1), data);
-  const std::vector<float> p14 = train_rbm_dp(dp_config(1, 4), data);
-  const std::vector<float> p22 = train_rbm_dp(dp_config(2, 2), data);
+  const std::vector<float> p41 = train_rbm(dp_config(4, 1), data);
+  const std::vector<float> p14 = train_rbm(dp_config(1, 4), data);
+  const std::vector<float> p22 = train_rbm(dp_config(2, 2), data);
   EXPECT_EQ(p41, p14);
   EXPECT_EQ(p41, p22);
 }
 
 TEST(DataParallel, ReplicaThreadBudgetDoesNotChangeParameters) {
   const data::Dataset data = ragged_patches();
-  const std::vector<float> one = train_sae_dp(dp_config(2, 2, 1), data);
-  const std::vector<float> two = train_sae_dp(dp_config(2, 2, 2), data);
-  const std::vector<float> four = train_sae_dp(dp_config(4, 1, 3), data);
+  const std::vector<float> one = train_sae(dp_config(2, 2, 1), data);
+  const std::vector<float> two = train_sae(dp_config(2, 2, 2), data);
+  const std::vector<float> four = train_sae(dp_config(4, 1, 3), data);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
-}
-
-TEST(DataParallel, TrainerDelegatesWhenReplicasRequested) {
-  const data::Dataset data = ragged_patches();
-  const TrainerConfig cfg = dp_config(2, 2);
-
-  SaeConfig mcfg;
-  mcfg.visible = data.dim();
-  mcfg.hidden = 8;
-  SparseAutoencoder via_trainer(mcfg, 7);
-  Trainer trainer(cfg);
-  const TrainReport report = trainer.train(via_trainer, data);
-
-  EXPECT_EQ(sae_params(via_trainer), train_sae_dp(cfg, data));
-  EXPECT_LT(report.updates, report.batches);  // one update per slot group
 }
 
 // --- accumulation semantics ---
@@ -295,13 +218,13 @@ TEST(DataParallel, TrainerDelegatesWhenReplicasRequested) {
 TEST(DataParallel, UpdateCountMatchesAccounting) {
   const data::Dataset data = ragged_patches();
   TrainReport report;
-  train_sae_dp(dp_config(2, 2), data, &report);
-  const TrainShape run{330, 24, 128, 2};
-  const DataParallelShape dp{2, 2};
-  EXPECT_EQ(report.updates, dp_train_updates(run, dp));
+  train_sae(dp_config(2, 2), data, &report);
+  const TrainCounts counts = train_counts(TrainShape{330, 24, 128, 2, 4});
+  EXPECT_EQ(report.updates, counts.updates);
+  EXPECT_EQ(report.batches, counts.batches);
   // Every update consumes at least one and at most S micro-batches.
   EXPECT_GE(report.batches, report.updates);
-  EXPECT_LE(report.batches, report.updates * dp.slots());
+  EXPECT_LE(report.batches, report.updates * 4);
 }
 
 TEST(DataParallel, LearnsOnPatches) {
@@ -309,7 +232,7 @@ TEST(DataParallel, LearnsOnPatches) {
   TrainerConfig cfg = dp_config(4, 1);
   cfg.epochs = 6;
   TrainReport report;
-  train_sae_dp(cfg, data, &report);
+  train_sae(cfg, data, &report);
   ASSERT_GE(report.chunk_mean_costs.size(), 2u);
   EXPECT_LT(report.chunk_mean_costs.back(), report.chunk_mean_costs.front());
 }
@@ -319,30 +242,41 @@ TEST(DataParallel, LearnsOnPatches) {
 TEST(DataParallel, ModelEqualsMeasureSae) {
   const data::Dataset data = ragged_patches();
   TrainReport report;
-  train_sae_dp(dp_config(2, 2), data, &report);
-  const phi::KernelStats modeled = sae_dp_train_stats(
-      TrainShape{330, 24, 128, 2}, SaeShape{24, 16, 8}, DataParallelShape{2, 2},
-      OptLevel::kImproved);
+  train_sae(dp_config(2, 2), data, &report);
+  const phi::KernelStats modeled =
+      sae_train_stats(TrainShape{330, 24, 128, 2, 4}, SaeShape{24, 16, 8},
+                      OptLevel::kImproved);
   EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6));
 }
 
 TEST(DataParallel, ModelEqualsMeasureRbm) {
   const data::Dataset data = ragged_patches();
   TrainReport report;
-  train_rbm_dp(dp_config(4, 1), data, &report);
-  const phi::KernelStats modeled = rbm_dp_train_stats(
-      TrainShape{330, 24, 128, 2}, RbmShape{24, 16, 8}, DataParallelShape{4, 1},
-      OptLevel::kImproved);
+  train_rbm(dp_config(4, 1), data, &report);
+  const phi::KernelStats modeled =
+      rbm_train_stats(TrainShape{330, 24, 128, 2, 4}, RbmShape{24, 16, 8},
+                      OptLevel::kImproved);
   EXPECT_TRUE(report.stats.approx_equal(modeled, 1e-6));
 }
 
 TEST(DataParallel, SingleSlotAccountingEqualsTrainStats) {
+  // At S = 1 the slot replay is Algorithm 1's loop: per chunk one transfer,
+  // per batch one gradient + update, nothing else.
   const TrainShape run{330, 24, 128, 2};
-  const phi::KernelStats dp = sae_dp_train_stats(
-      run, SaeShape{24, 16, 8}, DataParallelShape{1, 1}, OptLevel::kImproved);
-  const phi::KernelStats flat =
-      sae_train_stats(run, SaeShape{24, 16, 8}, OptLevel::kImproved);
-  EXPECT_TRUE(dp.approx_equal(flat, 1e-9));
+  const SaeShape shape{24, 16, 8};
+  phi::KernelStats flat;
+  for (int epoch = 0; epoch < run.epochs; ++epoch)
+    for (la::Index begin = 0; begin < run.examples; begin += run.chunk) {
+      const la::Index rows = std::min(run.chunk, run.examples - begin);
+      flat += phi::h2d_contribution(4.0 * static_cast<double>(rows) * 16);
+      for (la::Index b0 = 0; b0 < rows; b0 += run.batch) {
+        SaeShape s = shape;
+        s.batch = std::min(run.batch, rows - b0);
+        flat += sae_batch_stats(s, OptLevel::kImproved);
+      }
+    }
+  EXPECT_TRUE(sae_train_stats(run, shape, OptLevel::kImproved)
+                  .approx_equal(flat, 1e-9));
 }
 
 TEST(DataParallel, CombineStatsZeroForSingleLiveSlot) {
@@ -360,22 +294,20 @@ TEST(DataParallel, CombineStatsZeroForSingleLiveSlot) {
 TEST(DataParallel, RejectsLoopFormLevels) {
   TrainerConfig cfg = dp_config(2, 1);
   cfg.level = OptLevel::kOpenMp;
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
   EXPECT_THROW(Trainer{cfg}, util::Error);
 }
 
 TEST(DataParallel, RejectsTaskGraphCombination) {
   TrainerConfig cfg = dp_config(2, 1);
   cfg.use_taskgraph = true;
-  EXPECT_THROW(DataParallelTrainer{cfg}, util::Error);
   EXPECT_THROW(Trainer{cfg}, util::Error);
 }
 
 TEST(DataParallel, RejectsNonPositiveGeometry) {
   TrainerConfig bad_replicas = dp_config(0, 1);
-  EXPECT_THROW(DataParallelTrainer{bad_replicas}, util::Error);
+  EXPECT_THROW(Trainer{bad_replicas}, util::Error);
   TrainerConfig bad_accum = dp_config(1, 0);
-  EXPECT_THROW(DataParallelTrainer{bad_accum}, util::Error);
+  EXPECT_THROW(Trainer{bad_accum}, util::Error);
 }
 
 }  // namespace
