@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,71 +56,39 @@ struct ChunkOutcome {
   std::int64_t comm_collectives = 0;
 };
 
-// RAII over the device-arena reservations a monitored training run makes.
-class DeviceReservation {
+// RAII over the arena reservations of a monitored run: each device (the one
+// card, or every card of a cluster) reserves the model + gradients, the
+// workspace and its share of the chunk ring — the paper's "keep all the
+// parameters ... in our global memory permanently" as a real constraint.
+class ArenaReservation {
  public:
-  DeviceReservation(phi::Device* device, double model_bytes,
-                    double workspace_bytes, double ring_bytes)
-      : device_(device) {
-    if (!device_) return;
+  ArenaReservation(const std::vector<phi::Device*>& devices,
+                   double model_bytes, double workspace_bytes,
+                   double ring_bytes) {
     try {
-      ids_.push_back(device_->alloc("model+gradients", model_bytes));
-      ids_.push_back(device_->alloc("workspace", workspace_bytes));
-      ids_.push_back(device_->alloc("chunk-ring", ring_bytes));
+      for (phi::Device* dev : devices) {
+        ids_.emplace_back(dev, dev->alloc("model+gradients", model_bytes));
+        ids_.emplace_back(dev, dev->alloc("workspace", workspace_bytes));
+        ids_.emplace_back(dev, dev->alloc("chunk-ring", ring_bytes));
+      }
     } catch (...) {
       // A partially constructed object gets no destructor call: release
       // whatever was reserved before the OOM, then rethrow.
-      for (auto id : ids_) device_->free(id);
-      throw;
-    }
-  }
-  ~DeviceReservation() {
-    if (device_)
-      for (auto id : ids_) device_->free(id);
-  }
-  DeviceReservation(const DeviceReservation&) = delete;
-  DeviceReservation& operator=(const DeviceReservation&) = delete;
-
- private:
-  phi::Device* device_;
-  std::vector<phi::Device::BufferId> ids_;
-};
-
-// Same, over every card of a cluster: each card reserves ITS copy of the
-// model + its slot block's gradients, its replicas' workspaces, and its
-// 1/cards share of the chunk ring (the loading thread scatters each chunk's
-// shards to the cards that own them).
-class ClusterReservation {
- public:
-  ClusterReservation(phi::Cluster* cluster, double card_model_bytes,
-                     double card_workspace_bytes, double card_ring_bytes)
-      : cluster_(cluster) {
-    if (!cluster_) return;
-    try {
-      for (int c = 0; c < cluster_->cards(); ++c) {
-        phi::Device& dev = cluster_->device(c);
-        ids_.emplace_back(c, dev.alloc("model+gradients", card_model_bytes));
-        ids_.emplace_back(c, dev.alloc("workspace", card_workspace_bytes));
-        ids_.emplace_back(c, dev.alloc("chunk-ring", card_ring_bytes));
-      }
-    } catch (...) {
       release();
       throw;
     }
   }
-  ~ClusterReservation() { release(); }
-  ClusterReservation(const ClusterReservation&) = delete;
-  ClusterReservation& operator=(const ClusterReservation&) = delete;
+  ~ArenaReservation() { release(); }
+  ArenaReservation(const ArenaReservation&) = delete;
+  ArenaReservation& operator=(const ArenaReservation&) = delete;
 
  private:
   void release() {
-    if (!cluster_) return;
-    for (const auto& [card, id] : ids_) cluster_->device(card).free(id);
+    for (const auto& [dev, id] : ids_) dev->free(id);
     ids_.clear();
   }
 
-  phi::Cluster* cluster_;
-  std::vector<std::pair<int, phi::Device::BufferId>> ids_;
+  std::vector<std::pair<phi::Device*, phi::Device::BufferId>> ids_;
 };
 
 using ChunkFn = std::function<ChunkOutcome(const la::Matrix&)>;
@@ -155,14 +124,17 @@ TrainReport run_chunks(const TrainerConfig& config,
   util::Timer timer;
   phi::StatsScope scope(report.stats);
 
+  // Each card of a cluster holds its 1/cards share of the chunk ring (the
+  // loading thread scatters each chunk's shards to the cards owning them).
   phi::Device* device = config.device;
-  const double ring_bytes =
-      static_cast<double>(config.ring_chunks) * report.chunk_bytes;
-  DeviceReservation reservation(device, model_bytes, workspace_bytes,
-                                ring_bytes);
-  ClusterReservation cluster_reservation(
-      cluster, model_bytes, workspace_bytes,
-      cluster ? ring_bytes / cluster->cards() : 0.0);
+  std::vector<phi::Device*> arena_devices;
+  if (device) arena_devices.push_back(device);
+  for (int c = 0; cluster && c < cluster->cards(); ++c)
+    arena_devices.push_back(&cluster->device(c));
+  const double ring_bytes = static_cast<double>(config.ring_chunks) *
+                            report.chunk_bytes / (cluster ? config.cards : 1);
+  ArenaReservation reservation(arena_devices, model_bytes, workspace_bytes,
+                               ring_bytes);
   const bool async_loading = config.policy == ExecPolicy::kPhiOffload;
   std::vector<double> slot_free(config.ring_chunks, 0.0);
   double last_compute_end = 0.0;
@@ -193,19 +165,20 @@ TrainReport run_chunks(const TrainerConfig& config,
       static obs::Gauge& ring_gauge = obs::gauge("train.ring_buffered");
       ring_gauge.set(static_cast<double>(ring_buffered));
       util::Timer chunk_timer;
-      // The chunk crosses the host→device link (Fig. 5).
+      // The chunk crosses the host→device link (Fig. 5). Its ring slot is
+      // free once the chunk that last used it has been trained; without the
+      // loading thread, the load also waits for the previous chunk.
       const double chunk_bytes = 4.0 * static_cast<double>(chunk->size());
       phi::record(phi::h2d_contribution(chunk_bytes));
+      const std::string label = "chunk[" + std::to_string(report.chunks) + "]";
+      const std::size_t ring_slot =
+          static_cast<std::size_t>(report.chunks) % config.ring_chunks;
+      double ready = slot_free[ring_slot];
+      if (!async_loading) ready = std::max(ready, last_compute_end);
       double transfer_end = 0.0;
-      if (device) {
-        const std::size_t slot =
-            static_cast<std::size_t>(report.chunks) % config.ring_chunks;
-        double ready = slot_free[slot];
-        if (!async_loading) ready = std::max(ready, last_compute_end);
-        transfer_end = device->submit_transfer(
-            "chunk[" + std::to_string(report.chunks) + "] h2d", chunk_bytes,
-            ready);
-      }
+      if (device)
+        transfer_end =
+            device->submit_transfer(label + " h2d", chunk_bytes, ready);
 
       ChunkOutcome outcome;
       phi::KernelStats chunk_stats;
@@ -216,29 +189,19 @@ TrainReport run_chunks(const TrainerConfig& config,
       phi::record(chunk_stats);  // merge the chunk's work into report.stats
       stream.recycle(std::move(*chunk));  // buffer returns to the decode pool
       report.final_cost = outcome.final_cost;
-      if (device) {
-        const double compute_end = device->submit_compute(
-            "chunk[" + std::to_string(report.chunks) + "] train", chunk_stats,
-            transfer_end);
-        slot_free[static_cast<std::size_t>(report.chunks) %
-                  config.ring_chunks] = compute_end;
-        last_compute_end = compute_end;
-      }
-      if (cluster) {
-        // The cluster analogue of the device branch: each card DMAs its
-        // shards and computes its share, then the chunk's collectives occupy
-        // the interconnect; the step barrier frees the ring slot.
-        const std::size_t slot =
-            static_cast<std::size_t>(report.chunks) % config.ring_chunks;
-        double ready = slot_free[slot];
-        if (!async_loading) ready = std::max(ready, last_compute_end);
-        const double barrier = cluster->submit_step(
-            "chunk[" + std::to_string(report.chunks) + "]", outcome.card_stats,
-            outcome.card_h2d_bytes, outcome.comm_seconds,
-            outcome.comm_wire_bytes, outcome.comm_rounds,
-            outcome.comm_collectives, ready);
-        slot_free[slot] = barrier;
-        last_compute_end = barrier;
+      if (device || cluster) {
+        // A cluster's cards each DMA their shards and compute their share,
+        // then the chunk's collectives occupy the interconnect; the step
+        // barrier frees the ring slot.
+        const double step_end =
+            device ? device->submit_compute(label + " train", chunk_stats,
+                                            transfer_end)
+                   : cluster->submit_step(
+                         label, outcome.card_stats, outcome.card_h2d_bytes,
+                         outcome.comm_seconds, outcome.comm_wire_bytes,
+                         outcome.comm_rounds, outcome.comm_collectives, ready);
+        slot_free[ring_slot] = step_end;
+        last_compute_end = step_end;
       }
 
       report.batches += outcome.batches;

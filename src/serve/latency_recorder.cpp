@@ -2,10 +2,6 @@
 
 namespace deepphi::serve {
 
-LatencyRecorder::LatencyRecorder(std::size_t max_samples) {
-  (void)max_samples;  // compatibility no-op, see header
-}
-
 LatencySummary summarize(const obs::HistogramSnapshot& snapshot) {
   LatencySummary s;
   s.count = snapshot.count;

@@ -1,14 +1,9 @@
 // Thread-safe end-to-end latency accounting for the serving engine, backed
-// by obs::Histogram.
-//
-// Historically this buffered up to 2^20 raw samples and sorted a copy under
-// a mutex in summary() — which meant every worker's record() stalled behind
-// any summary poll, the exact failure mode a live stats endpoint would
-// institutionalize. record() is now a lock-free histogram update (no mutex
-// anywhere in the per-request hot path) and summary() is an O(buckets) scan;
-// quantiles are bucket-resolved within ~1% relative error (see
-// obs/histogram.hpp) while count/mean/max stay exact. The API is unchanged
-// so existing callers and tests keep compiling.
+// by obs::Histogram: record() is a lock-free histogram update (no mutex
+// anywhere in the per-request hot path, so a live stats poll never stalls a
+// worker) and summary() is an O(buckets) scan. Quantiles are bucket-resolved
+// within ~1% relative error (see obs/histogram.hpp); count/mean/max are
+// exact.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +23,6 @@ struct LatencySummary {
 
 class LatencyRecorder {
  public:
-  /// `max_samples` is a vestige of the raw-sample implementation, kept so
-  /// existing call sites compile; the histogram is fixed-size regardless.
-  explicit LatencyRecorder(std::size_t max_samples = 0);
-
   /// Lock-free (a handful of relaxed atomic ops); safe from any thread.
   void record(double seconds) { histogram_.record(seconds); }
 

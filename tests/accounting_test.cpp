@@ -6,6 +6,8 @@
 // ladder, Phi vs single core, Matlab).
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -108,6 +110,13 @@ struct LevelShapeCase {
   OptLevel level;
   la::Index batch, visible, hidden;
 };
+
+// Names the ctest case by its fields, e.g. "openmp_mkl_b8_v12_h9".
+void PrintTo(const LevelShapeCase& c, std::ostream* os) {
+  std::string level = to_string(c.level);
+  std::replace(level.begin(), level.end(), '+', '_');
+  *os << level << "_b" << c.batch << "_v" << c.visible << "_h" << c.hidden;
+}
 
 class SaeAccounting : public ::testing::TestWithParam<LevelShapeCase> {};
 

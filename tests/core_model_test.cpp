@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "baseline/seq_autoencoder.hpp"
@@ -122,6 +123,11 @@ TEST(SaeGradient, SteadyStateStepAllocatesNothingInGemm) {
 struct SaeShapeCase {
   la::Index batch, visible, hidden;
 };
+
+// Names the ctest case by its fields, e.g. "b17_v12_h9".
+void PrintTo(const SaeShapeCase& c, std::ostream* os) {
+  *os << 'b' << c.batch << "_v" << c.visible << "_h" << c.hidden;
+}
 
 class SaeParity : public ::testing::TestWithParam<SaeShapeCase> {};
 
@@ -309,6 +315,10 @@ TEST(RbmGradient, BatchedMatchesReference) {
 struct RbmShapeCase {
   la::Index batch, visible, hidden;
 };
+
+void PrintTo(const RbmShapeCase& c, std::ostream* os) {
+  *os << 'b' << c.batch << "_v" << c.visible << "_h" << c.hidden;
+}
 
 class RbmParity : public ::testing::TestWithParam<RbmShapeCase> {};
 

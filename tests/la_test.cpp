@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #ifdef _OPENMP
@@ -487,6 +488,14 @@ struct GemmCase {
   float alpha, beta;
 };
 
+char trans_code(Trans t) { return t == Trans::kNo ? 'N' : 'T'; }
+
+// Names the ctest case by its fields, e.g. "3x5x7_NT_alpha1_beta0".
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << c.m << 'x' << c.n << 'x' << c.k << '_' << trans_code(c.ta)
+      << trans_code(c.tb) << "_alpha" << c.alpha << "_beta" << c.beta;
+}
+
 class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmSweep, MatchesNaive) {
@@ -657,6 +666,11 @@ struct EpilogueCase {
   Trans ta, tb;
   float beta;
 };
+
+void PrintTo(const EpilogueCase& c, std::ostream* os) {
+  *os << c.m << 'x' << c.n << 'x' << c.k << '_' << trans_code(c.ta)
+      << trans_code(c.tb) << "_beta" << c.beta;
+}
 
 class GemmEpilogueSweep : public ::testing::TestWithParam<EpilogueCase> {};
 

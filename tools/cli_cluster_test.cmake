@@ -41,3 +41,22 @@ foreach(needle "cluster: 2 cards" "all-reduces" "communication")
     message(FATAL_ERROR "train output missing '${needle}': ${train_out}")
   endif()
 endforeach()
+
+# --collective=auto: the run header must still carry the cluster geometry
+# and the collective choice.
+execute_process(
+  COMMAND ${TRAIN} --model=sae --synthetic=digits --examples=512 --epochs=2
+          --hidden=16 --chunk=128 --batch=16 --cards=2 --replicas=2
+          --collective=auto --telemetry ${WORK}/cluster_auto_run.jsonl
+  RESULT_VARIABLE auto_rc)
+if(NOT auto_rc EQUAL 0)
+  message(FATAL_ERROR "deepphi_train --collective=auto failed: ${auto_rc}")
+endif()
+execute_process(
+  COMMAND ${CHECK} --jsonl --require=record --expect=run_header
+          --expect=\"cards\":2 --expect=\"collective\"
+          ${WORK}/cluster_auto_run.jsonl
+  RESULT_VARIABLE auto_check_rc)
+if(NOT auto_check_rc EQUAL 0)
+  message(FATAL_ERROR "--collective=auto telemetry failed validation: ${auto_check_rc}")
+endif()
