@@ -337,9 +337,6 @@ class SaeOps {
     la::scal(alpha, g.g_w2);
     la::scal(alpha, g.g_b2);
   }
-  double model_bytes() const {
-    return 4.0 * static_cast<double>(model_.param_count());
-  }
   std::vector<la::Index> buffer_sizes() const {
     return {model_.w1().size(), model_.b1().size(), model_.w2().size(),
             model_.b2().size()};
@@ -397,10 +394,6 @@ class RbmOps {
     la::scal(alpha, g.g_b);
     la::scal(alpha, g.g_c);
   }
-  double model_bytes() const {
-    return 4.0 * static_cast<double>(model_.w().size() + model_.b().size() +
-                                     model_.c().size());
-  }
   std::vector<la::Index> buffer_sizes() const {
     return {model_.w().size(), model_.b().size(), model_.c().size()};
   }
@@ -448,7 +441,10 @@ TrainReport run_slots(const TrainerConfig& config, typename Ops::Model& model,
   // Arena (per card under a cluster): model + the card's R·A gradient
   // slots, R concurrent 4-matrix workspaces (the SAE's y/z/delta2/back; the
   // RBM's four phase matrices are no larger).
-  const double model_bytes = ops.model_bytes();
+  const std::vector<la::Index> buffer_sizes = ops.buffer_sizes();
+  la::Index param_count = 0;
+  for (const la::Index n : buffer_sizes) param_count += n;
+  const double model_bytes = 4.0 * static_cast<double>(param_count);
   const double arena_model_bytes =
       model_bytes * (1.0 + static_cast<double>(cluster ? R * A : S));
   const double workspace_bytes = 4.0 * 4.0 *
@@ -459,7 +455,6 @@ TrainReport run_slots(const TrainerConfig& config, typename Ops::Model& model,
   // gradient per optimizer update, with the algorithm resolved ONCE for the
   // run from the gradient message size and the active interconnect (the
   // functional combine below never changes with it — docs/cluster.md).
-  const std::vector<la::Index> buffer_sizes = ops.buffer_sizes();
   par::CollectiveSchedule comm_schedule;
   double comm_step_s = 0.0;
   if (C > 1) {
@@ -626,7 +621,8 @@ Trainer::Trainer(TrainerConfig config) : config_(config) {
   DEEPPHI_CHECK_MSG(config.accumulation_steps >= 1,
                     "accumulation_steps must be >= 1");
   DEEPPHI_CHECK_MSG(config.cards >= 1, "cards must be >= 1");
-  const bool data_parallel = slots() > 1;
+  const bool data_parallel =
+      config.replicas * config.accumulation_steps * config.cards > 1;
   DEEPPHI_CHECK_MSG(!data_parallel || is_matrix_form(config.level),
                     "data-parallel training (replicas/accumulation/cards) "
                     "requires a matrix-form level");

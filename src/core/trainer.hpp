@@ -167,11 +167,6 @@ class Trainer {
 
   const TrainerConfig& config() const { return config_; }
 
-  /// Gradient slots per step (replicas × accumulation_steps × cards).
-  int slots() const {
-    return config_.replicas * config_.accumulation_steps * config_.cards;
-  }
-
   /// Trains the Sparse Autoencoder over `dataset` for config.epochs passes.
   /// Any StreamingSource feeds the same loop: an in-memory data::Dataset or
   /// an out-of-core data::ShardedDataset train bitwise identically under the
