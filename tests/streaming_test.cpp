@@ -3,9 +3,9 @@
 // Dataset for f32 and u8, shard-boundary spans, gathers, corruption and
 // truncation errors), the deterministic WindowShuffle, the typed IoError
 // paths of the DPDS/IDX loaders, and the headline contract — training from
-// shards is bitwise identical to training in memory, for the single-team
-// Trainer and every factorization of the data-parallel trainer, with the
-// windowed shuffle on or off.
+// shards is bitwise identical to training in memory, for core::Trainer at
+// S = 1 and every factorization of S > 1, with the windowed shuffle on or
+// off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
