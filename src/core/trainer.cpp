@@ -302,10 +302,7 @@ class SaeOps {
   using Grads = AeGradients;
 
   SaeOps(const TrainerConfig& config, SparseAutoencoder& model)
-      : model_(model),
-        level_(config.level),
-        lr_(config.optimizer.lr),
-        optimizer_(config.optimizer) {}
+      : model_(model), level_(config.level), optimizer_(config.optimizer) {}
 
   double gradient(const la::Matrix& batch, Model::Workspace& ws, Grads& g,
                   const util::Rng&) {
@@ -316,7 +313,8 @@ class SaeOps {
   }
   void update(const Grads& g) {
     if (!is_matrix_form(level_)) {
-      sae_apply_update_loops(model_, g, lr_, level_ == OptLevel::kOpenMp);
+      sae_apply_update_loops(model_, g, optimizer_.config().lr,
+                             level_ == OptLevel::kOpenMp);
       return;
     }
     optimizer_.update(model_.w1(), g.g_w1);
@@ -345,7 +343,6 @@ class SaeOps {
  private:
   SparseAutoencoder& model_;
   OptLevel level_;
-  float lr_;
   Optimizer optimizer_;
 };
 
@@ -355,10 +352,7 @@ class RbmOps {
   using Grads = RbmGradients;
 
   RbmOps(const TrainerConfig& config, Rbm& model)
-      : model_(model),
-        level_(config.level),
-        lr_(config.optimizer.lr),
-        optimizer_(config.optimizer) {
+      : model_(model), level_(config.level), optimizer_(config.optimizer) {
     if (config.use_taskgraph) {
       pool_ = std::make_unique<par::ThreadPool>(
           static_cast<unsigned>(config.taskgraph_threads));
@@ -376,7 +370,8 @@ class RbmOps {
   }
   void update(const Grads& g) {
     if (!is_matrix_form(level_)) {
-      rbm_apply_update_loops(model_, g, lr_, level_ == OptLevel::kOpenMp);
+      rbm_apply_update_loops(model_, g, optimizer_.config().lr,
+                             level_ == OptLevel::kOpenMp);
       return;
     }
     optimizer_.update(model_.w(), g.g_w);
@@ -401,7 +396,6 @@ class RbmOps {
  private:
   Rbm& model_;
   OptLevel level_;
-  float lr_;
   Optimizer optimizer_;
   std::unique_ptr<par::ThreadPool> pool_;
   std::unique_ptr<RbmTaskGraphStep> graph_step_;
