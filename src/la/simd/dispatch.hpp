@@ -46,11 +46,6 @@ namespace deepphi::la::simd {
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr int kNumTiers = 3;
 
-/// Register micro-tile of the blocked GEMM, shared by every tier: MR rows ×
-/// NR columns, NR = 16 floats = one 512-bit vector (one cache line).
-inline constexpr std::int64_t kMR = 4;
-inline constexpr std::int64_t kNR = 16;
-
 /// "scalar" / "avx2" / "avx512".
 const char* tier_name(Tier t);
 
@@ -62,9 +57,19 @@ bool parse_tier(const std::string& name, Tier& out);
 struct KernelTable {
   Tier tier = Tier::kScalar;
 
-  /// MR×NR GEMM micro-kernel, one instantiation per EpilogueOp (indexed by
+  /// The tier's GEMM register tile: mr rows × nr columns of C held in
+  /// registers across the k-loop, sized to the tier's register file
+  /// (avx512 8×32 = 16 zmm accumulators, avx2 6×16 = 12 ymm, scalar 4×16).
+  /// nr is a multiple of 16 floats, so every packed B-panel row is whole
+  /// 64-byte lines. The tile never changes results: each C element's k-chain
+  /// is fixed by the kc blocking alone.
+  std::int64_t mr = 0;
+  std::int64_t nr = 0;
+
+  /// mr×nr GEMM micro-kernel, one instantiation per EpilogueOp (indexed by
   /// static_cast<int>(op)). `ap`/`bp` are the packed, zero-padded panels
-  /// (64-byte aligned; see check_panel_alignment); `c` points at C(r0, c0)
+  /// (`ap` mr floats per k step, `bp` nr floats per k step, B 64-byte
+  /// aligned; see check_panel_alignment); `c` points at C(r0, c0)
   /// with leading dimension `ldc`; `bias` points at bias[c0] (or null);
   /// `act` points at act(r0, c0) with leading dimension `act_ld` (or null).
   /// Writes the mr_eff×nr_eff clip of the tile, applying beta on the first

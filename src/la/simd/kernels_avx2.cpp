@@ -47,7 +47,8 @@ double dot8_avx2(const float* x, const float* y, std::int64_t n) {
 }  // namespace
 
 const KernelTable* avx2_table() {
-  static const KernelTable table = make_table<Avx2Ops>(Tier::kAvx2, &dot8_avx2);
+  static const KernelTable table =
+      make_table<Avx2Ops, 6, 16>(Tier::kAvx2, &dot8_avx2);
   return &table;
 }
 

@@ -8,7 +8,8 @@
 namespace deepphi::la::simd {
 
 const KernelTable* scalar_table() {
-  static const KernelTable table = make_table<ScalarOps>(Tier::kScalar, &dot8_ref);
+  static const KernelTable table =
+      make_table<ScalarOps, 4, 16>(Tier::kScalar, &dot8_ref);
   return &table;
 }
 

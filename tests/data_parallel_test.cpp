@@ -13,6 +13,7 @@
 #include "data/chunk_stream.hpp"
 #include "data/patches.hpp"
 #include "data/sharded_dataset.hpp"
+#include "forced_tier.hpp"
 
 namespace deepphi::core {
 namespace {
@@ -140,16 +141,23 @@ std::uint64_t param_hash(const std::vector<float>& params) {
 constexpr OptLevel kAllLevels[] = {OptLevel::kBaseline, OptLevel::kOpenMp,
                                    OptLevel::kOpenMpMkl, OptLevel::kImproved};
 
+// Each hash must hold at every SIMD tier this CPU runs — the tiers have their
+// own GEMM register tiles, and CI runners differ in which tier they dispatch.
+
 TEST(TrainedParamHash, SaeEveryLevel) {
   const data::Dataset data = ragged_patches();
   const std::uint64_t expected[] = {0x1db7dd71cc1a0df6ULL, 0x1db7dd71cc1a0df6ULL,
                                     0xc427db23d81c09f6ULL, 0x3010edc395b68ea9ULL};
-  for (int i = 0; i < 4; ++i) {
-    TrainerConfig cfg = dp_config(1, 1);
-    cfg.level = kAllLevels[i];
-    const std::uint64_t hash = param_hash(train_sae(cfg, data));
-    EXPECT_EQ(hash, expected[i])
-        << to_string(cfg.level) << std::hex << " 0x" << hash;
+  for (la::simd::Tier tier : test::available_tiers()) {
+    test::ForcedTier forced(tier);
+    for (int i = 0; i < 4; ++i) {
+      TrainerConfig cfg = dp_config(1, 1);
+      cfg.level = kAllLevels[i];
+      const std::uint64_t hash = param_hash(train_sae(cfg, data));
+      EXPECT_EQ(hash, expected[i]) << la::simd::tier_name(tier) << " "
+                                   << to_string(cfg.level) << std::hex
+                                   << " 0x" << hash;
+    }
   }
 }
 
@@ -157,12 +165,16 @@ TEST(TrainedParamHash, RbmEveryLevel) {
   const data::Dataset data = ragged_patches();
   const std::uint64_t expected[] = {0x9aeb1307138ce10aULL, 0x9aeb1307138ce10aULL,
                                     0xff4a37370b1cc6c9ULL, 0xff4a37370b1cc6c9ULL};
-  for (int i = 0; i < 4; ++i) {
-    TrainerConfig cfg = dp_config(1, 1);
-    cfg.level = kAllLevels[i];
-    const std::uint64_t hash = param_hash(train_rbm(cfg, data));
-    EXPECT_EQ(hash, expected[i])
-        << to_string(cfg.level) << std::hex << " 0x" << hash;
+  for (la::simd::Tier tier : test::available_tiers()) {
+    test::ForcedTier forced(tier);
+    for (int i = 0; i < 4; ++i) {
+      TrainerConfig cfg = dp_config(1, 1);
+      cfg.level = kAllLevels[i];
+      const std::uint64_t hash = param_hash(train_rbm(cfg, data));
+      EXPECT_EQ(hash, expected[i]) << la::simd::tier_name(tier) << " "
+                                   << to_string(cfg.level) << std::hex
+                                   << " 0x" << hash;
+    }
   }
 }
 
@@ -170,14 +182,22 @@ TEST(TrainedParamHash, RbmTaskGraph) {
   const data::Dataset data = ragged_patches();
   TrainerConfig cfg = dp_config(1, 1);
   cfg.use_taskgraph = true;
-  const std::uint64_t hash = param_hash(train_rbm(cfg, data));
-  EXPECT_EQ(hash, 0x475e126d6486804aULL) << std::hex << "0x" << hash;
+  for (la::simd::Tier tier : test::available_tiers()) {
+    test::ForcedTier forced(tier);
+    const std::uint64_t hash = param_hash(train_rbm(cfg, data));
+    EXPECT_EQ(hash, 0x475e126d6486804aULL)
+        << la::simd::tier_name(tier) << std::hex << " 0x" << hash;
+  }
 }
 
 TEST(TrainedParamHash, RbmFourSlots) {
   const data::Dataset data = ragged_patches();
-  const std::uint64_t hash = param_hash(train_rbm(dp_config(2, 2), data));
-  EXPECT_EQ(hash, 0xe57767104635c720ULL) << std::hex << "0x" << hash;
+  for (la::simd::Tier tier : test::available_tiers()) {
+    test::ForcedTier forced(tier);
+    const std::uint64_t hash = param_hash(train_rbm(dp_config(2, 2), data));
+    EXPECT_EQ(hash, 0xe57767104635c720ULL)
+        << la::simd::tier_name(tier) << std::hex << " 0x" << hash;
+  }
 }
 
 // --- factorization parity: fixed S, any (R, A), any thread budget ---
