@@ -210,9 +210,7 @@ void run_real_cluster(const util::Options& options) {
   bench::emit(options, table);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -234,4 +232,10 @@ int main(int argc, char** argv) {
   run_collective_sweep(options);
   if (!options.has("skip-host")) run_real_cluster(options);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

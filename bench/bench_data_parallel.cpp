@@ -134,9 +134,7 @@ void run_host_table(const util::Options& options) {
   bench::emit(options, table);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -154,4 +152,10 @@ int main(int argc, char** argv) {
   if (which == "rbm" || which == "both") run_model(options, /*rbm=*/true);
   if (!options.has("skip-host")) run_host_table(options);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

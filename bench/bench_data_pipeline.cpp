@@ -112,9 +112,7 @@ std::string fmt(const char* spec, double v) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "corpus rows to generate", "32768");
   options.declare("patch", "patch side (dim = patch^2)", "8");
@@ -129,11 +127,6 @@ int main(int argc, char** argv) {
   options.declare("train-epochs", "epochs for the end-to-end table", "1");
   options.declare("hidden", "SAE hidden units for the end-to-end table", "32");
   bench::declare_common_flags(options);
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("bench_data_pipeline").c_str());
-    return 0;
-  }
   options.validate();
 
   bench::banner("data_pipeline",
@@ -237,4 +230,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, train_table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -12,7 +12,9 @@
 #include "bench_common.hpp"
 #include "core/levels.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -49,4 +51,10 @@ int main(int argc, char** argv) {
   bench::emit(options, table);
   std::printf("paper reports ~16x; shape target is Phi >> Matlab at this scale\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

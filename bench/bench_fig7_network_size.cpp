@@ -60,9 +60,7 @@ void run_model(const util::Options& options, bool rbm) {
   bench::emit(options, table);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -76,4 +74,10 @@ int main(int argc, char** argv) {
   if (which == "sae" || which == "both") run_model(options, /*rbm=*/false);
   if (which == "rbm" || which == "both") run_model(options, /*rbm=*/true);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -35,9 +35,7 @@ double time_blocked(const la::Matrix& a, const la::Matrix& b, la::Matrix& c,
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -83,4 +81,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -35,9 +35,7 @@ la::Vector random_vector(la::Index n, std::uint64_t seed) {
 
 using bench::best_of;
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -112,4 +110,10 @@ int main(int argc, char** argv) {
   }
   bench::emit(options, tier_table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -11,7 +11,9 @@
 #include "bench_common.hpp"
 #include "core/levels.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -51,4 +53,10 @@ int main(int argc, char** argv) {
   std::printf("the fused step replaces scalar-class elementwise passes (incl.\n"
               "scalar exp) with single vectorized passes and fewer launches.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -11,7 +11,9 @@
 #include "core/levels.hpp"
 #include "phi/tuning.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -51,4 +53,10 @@ int main(int argc, char** argv) {
               result.best_time_s * 1e3, result.best_fraction,
               result.phi_only_s / result.best_time_s);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

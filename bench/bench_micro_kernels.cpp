@@ -204,9 +204,7 @@ void emit_tier_table(const util::Options& options) {
   bench::emit(options, table);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   // google-benchmark owns the --benchmark* flags; everything else goes to
   // util::Options (BENCHMARK_MAIN would abort on --json=...).
@@ -228,11 +226,6 @@ int main(int argc, char** argv) {
                   "256");
   options.declare("reps", "timing repetitions for the per-tier table", "3");
   options.declare("max_hidden", "skip Fig. 7 layers wider than this", "4096");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("bench_micro_kernels").c_str());
-    return 0;
-  }
   options.validate();
 
   for (int t = 0; t < la::simd::kNumTiers; ++t) {
@@ -253,4 +246,10 @@ int main(int argc, char** argv) {
       "the forced-scalar kernel on the same shape.");
   emit_tier_table(options);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 #include "data/patches.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -92,4 +94,10 @@ int main(int argc, char** argv) {
               "example): the Phi's GEMM advantage disappears — the reason the\n"
               "paper trains in batches and lists online SGD as future work.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -18,7 +18,9 @@
 #include "data/patches.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -118,4 +120,10 @@ int main(int argc, char** argv) {
   std::printf("note: SGD-family evals are mini-batch gradients (cheap); batch-\n"
               "method evals are full-dataset gradients (grad_evals x dataset).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

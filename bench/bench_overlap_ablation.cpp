@@ -43,9 +43,7 @@ void run_scenario(const util::Options& options, const std::string& name,
   bench::emit(options, table);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -82,4 +80,10 @@ int main(int argc, char** argv) {
       "bottleneck and overlap alone cannot hide it (\"the transferring cost\n"
       "can be intolerable\").\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

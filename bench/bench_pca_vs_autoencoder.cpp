@@ -60,9 +60,7 @@ double head_accuracy(const data::Dataset& train_x, const std::vector<int>& train
   return head.accuracy(test_x, test_y);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -152,4 +150,10 @@ int main(int argc, char** argv) {
       "concerns deep stacks on real image corpora (Hinton & Salakhutdinov\n"
       "2006); reproduce it there via --idx with real MNIST in deepphi_train.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

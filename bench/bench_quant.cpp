@@ -71,9 +71,7 @@ double served_rps(const core::Encoder& model, la::Index max_batch,
   return static_cast<double>(server.stats().completed) / wall;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -145,4 +143,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
   bench::emit(options, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -135,9 +135,7 @@ std::map<std::string, LaneResult> run_scenario(
   return results;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -225,4 +223,10 @@ int main(int argc, char** argv) {
       static_misses ? "MISSES" : "unexpectedly met", p99_ms["adaptive.tight"],
       adaptive_holds ? "holds" : "MISSED");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

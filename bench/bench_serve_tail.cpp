@@ -194,9 +194,7 @@ serve::ServerStats serve_probe(const core::Encoder& model, double rate,
   return server.stats();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -286,4 +284,10 @@ int main(int argc, char** argv) {
                        util::Table::cell(polled.latency.p99_s * 1e3)});
   bench::emit(options, probe_table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

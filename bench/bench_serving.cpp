@@ -112,9 +112,7 @@ serve::ServerStats run_moderate(const core::Encoder& model, double rate,
   return server.stats();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -173,4 +171,10 @@ int main(int argc, char** argv) {
                  util::Table::cell(bound_ms)});
   bench::emit(options, probe);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

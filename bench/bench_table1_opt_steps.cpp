@@ -34,9 +34,7 @@ double stacked_time(const phi::MachineSpec& spec, OptLevel level) {
   return total;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -72,4 +70,10 @@ int main(int argc, char** argv) {
                  util::Table::cell(base30 / final30), "302.7"});
   bench::emit(options, table);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -12,7 +12,9 @@
 #include "core/levels.hpp"
 #include "phi/tuning.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   bench::declare_common_flags(options);
@@ -45,4 +47,10 @@ int main(int argc, char** argv) {
   std::printf("small networks leave most of the 240-thread fork/join bill\n"
               "unamortized; the tuner finds the knee automatically.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -60,9 +60,7 @@ double train_and_eval(const data::Dataset& train_x, const std::vector<int>& trai
   return head.accuracy(probe, test_y);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("train", "unlabeled images for pre-training", "4096");
@@ -138,4 +136,10 @@ int main(int argc, char** argv) {
       " on this synthetic task; try --labeled=2048 --noise=0.02.)\n",
       static_cast<long long>(n_train));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

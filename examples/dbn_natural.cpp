@@ -9,7 +9,9 @@
 #include "data/patches.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "number of 8x8 training patches", "6144");
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(top.cols()),
               mean_top / static_cast<double>(top.size()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

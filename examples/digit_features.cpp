@@ -10,7 +10,9 @@
 #include "data/patches.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "number of 8x8 training patches", "6144");
@@ -76,4 +78,10 @@ int main(int argc, char** argv) {
   for (la::Index c = 0; c < code.cols(); ++c) std::printf(" %.2f", code(0, c));
   std::printf("\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -24,9 +24,7 @@ double recon_error(const core::DeepAutoencoder& deep, const la::Matrix& x) {
   return la::sum_sq_diff(out, x) / static_cast<double>(x.rows());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "number of 8x8 training patches", "6144");
@@ -94,4 +92,10 @@ int main(int argc, char** argv) {
       " persists — reference [1] of the paper.)\n");
   std::remove(ckpt.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

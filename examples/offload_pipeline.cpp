@@ -12,7 +12,9 @@
 #include "util/options.hpp"
 #include "util/string_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "number of training patches", "8192");
@@ -88,4 +90,10 @@ int main(int argc, char** argv) {
   std::printf("Chrome-tracing JSON written to %s (open in ui.perfetto.dev)\n",
               trace_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -14,7 +14,9 @@
 #include "data/patches.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace deepphi;
   util::Options options = util::Options::parse(argc, argv);
   options.declare("examples", "number of 8x8 training patches", "4096");
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
   std::printf("\nfirst hidden unit's weights (8x8 ASCII heat map):\n%s\n",
               core::ascii_filter(model.w1(), 0, 8).c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return deepphi::util::run_main(argc, argv, run);
 }

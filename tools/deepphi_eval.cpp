@@ -116,11 +116,6 @@ int run(int argc, char** argv) {
   options.declare("profile",
                   "write a Chrome-trace JSON of the evaluation's host "
                   "timeline to this path");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_eval").c_str());
-    return 0;
-  }
   options.validate();
   DEEPPHI_CHECK_MSG(options.has("model"), "--model=<checkpoint> is required");
   if (options.has("profile")) {
@@ -166,11 +161,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_eval: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }

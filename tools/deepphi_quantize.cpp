@@ -34,11 +34,6 @@ int run(int argc, char** argv) {
                   "probe batch rows for the encode-output delta report",
                   "256");
   options.declare("seed", "probe batch seed", "42");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_quantize").c_str());
-    return 0;
-  }
   options.validate();
   DEEPPHI_CHECK_MSG(options.has("model"), "--model=<checkpoint> is required");
   DEEPPHI_CHECK_MSG(options.has("out"), "--out=<path.dpqe> is required");
@@ -97,11 +92,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_quantize: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -251,11 +251,6 @@ int run(int argc, char** argv) {
   options.declare("profile",
                   "write a Chrome-trace JSON of the serving timeline to this "
                   "path");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_serve").c_str());
-    return 0;
-  }
   options.validate();
   DEEPPHI_CHECK_MSG(options.has("model"),
                     "--model NAME=PATH[:BUDGET_MS] is required");
@@ -503,11 +498,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_serve: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }

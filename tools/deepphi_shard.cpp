@@ -73,11 +73,6 @@ int run(int argc, char** argv) {
   options.declare("check",
                   "existing manifest to integrity-check (re-hashes every "
                   "shard payload) instead of writing");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_shard").c_str());
-    return 0;
-  }
   options.validate();
 
   if (options.has("check")) {
@@ -103,11 +98,5 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_shard: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }

@@ -178,11 +178,6 @@ int run(int argc, char** argv) {
   options.declare("metrics-out",
                   "after the last poll, fetch /metrics once and write the "
                   "Prometheus text to this file");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_top").c_str());
-    return 0;
-  }
   options.validate();
   DEEPPHI_CHECK_MSG(options.has("port") || options.has("port-file"),
                     "--port=<n> or --port-file=<path> is required");
@@ -242,11 +237,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_top: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }

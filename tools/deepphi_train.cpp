@@ -168,11 +168,6 @@ int run(int argc, char** argv) {
   options.declare("telemetry",
                   "write JSONL run telemetry (one record per chunk/epoch) "
                   "to this path");
-  options.declare("help", "print usage");
-  if (options.has("help")) {
-    std::printf("%s", options.help("deepphi_train").c_str());
-    return 0;
-  }
   options.validate();
 
   if (options.has("profile")) {
@@ -415,11 +410,5 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "deepphi_train: %s\n", e.what());
-    std::fprintf(stderr, "run with --help for usage\n");
-    return 1;
-  }
+  return deepphi::util::run_main(argc, argv, run);
 }
