@@ -16,7 +16,7 @@
 //  * Different threads always receive different buffers, so the blocked GEMM
 //    can hand each OpenMP worker its own packing space with no sharing.
 //  * Contents are unspecified on return; kernels fully overwrite what they
-//    read (pack_a / pack_b zero-pad their panels).
+//    read (the GEMM packer zero-pads its panels).
 #pragma once
 
 #include <cstddef>
