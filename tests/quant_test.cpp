@@ -71,14 +71,6 @@ la::Matrix random_matrix(la::Index rows, la::Index cols, std::uint64_t seed,
   return m;
 }
 
-la::Vector random_vector(la::Index n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Vector v = la::Vector::uninitialized(n);
-  for (la::Index i = 0; i < n; ++i)
-    v[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return v;
-}
-
 /// Reference for the dispatched kernel: int64 accumulation (a superset of
 /// any tier's exact int32 group arithmetic) and the same fixed scalar fma
 /// combine. Every tier must match this bitwise.
